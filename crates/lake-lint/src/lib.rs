@@ -156,12 +156,15 @@ impl fmt::Display for Finding {
 /// and lake-sched, whose event loop must drain every schedule it is handed.
 /// The columnar execution spine is covered file-by-file: the dictionary
 /// batch kernels, the parquet-lite codec, and incremental index
-/// maintenance all run inside every profiling/ingest hot loop.
+/// maintenance all run inside every profiling/ingest hot loop, and the
+/// canon-coded RFD/CLAMS kernel runs on every raw → trusted promotion.
 pub const HOT_PATHS: &[&str] = &[
     "crates/lake-core/src/batch.rs",
     "crates/lake-discovery/src/incremental.rs",
     "crates/lake-formats/src/columnar.rs",
     "crates/lake-house/src/",
+    "crates/lake-maintain/src/clean/clams.rs",
+    "crates/lake-maintain/src/enrich/rfd.rs",
     "crates/lake-obs/src/",
     "crates/lake-sched/src/",
     "crates/lake-server/src/",

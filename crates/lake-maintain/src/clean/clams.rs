@@ -15,9 +15,14 @@
 //! violations form a hypergraph whose per-triple violation degree ranks
 //! the review queue.
 
-use crate::enrich::rfd::{discover_rfds, violations, Rfd};
+use crate::enrich::rfd::{CanonTable, Rfd};
+use lake_core::batch::DictColumn;
 use lake_core::{DataType, Table};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+#[cfg(test)]
+#[path = "oracle.rs"]
+pub(crate) mod oracle;
 
 /// An RDF-ish triple view of one table cell.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -47,7 +52,7 @@ pub enum DenialConstraint {
 }
 
 /// The CLAMS analysis of one table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClamsReport {
     /// Discovered constraints.
     pub constraints: Vec<DenialConstraint>,
@@ -57,61 +62,73 @@ pub struct ClamsReport {
     pub review_queue: Vec<(CellTriple, usize)>,
 }
 
-/// Run CLAMS: infer constraints with the given RFD confidence threshold,
-/// then rank violating triples.
-pub fn analyze(table: &Table, min_rfd_confidence: f64) -> ClamsReport {
-    let mut constraints: Vec<DenialConstraint> = Vec::new();
-    // Functional denial constraints from confident RFDs.
-    for rfd in discover_rfds(table, min_rfd_confidence, true) {
-        if rfd.confidence < 1.0 {
-            constraints.push(DenialConstraint::FunctionalEquality(rfd));
-        }
+/// The dominant type of a column's non-null values if it covers at least
+/// 80% of them while another type is present too.
+fn dominant_type(col: &DictColumn) -> Option<DataType> {
+    let mut counts: BTreeMap<DataType, usize> = BTreeMap::new();
+    for e in col.entries() {
+        *counts.entry(e.value.data_type()).or_insert(0) += e.count as usize;
     }
+    let (&dominant, &n) = counts.iter().max_by_key(|&(_, &n)| n)?;
+    let total: usize = counts.values().sum();
+    (counts.len() >= 2 && n * 10 >= total * 8).then_some(dominant)
+}
+
+/// Rows of `col` holding a non-null value of a type other than `dominant`.
+fn off_type_rows(col: &DictColumn, dominant: DataType) -> Vec<usize> {
+    let entries = col.entries();
+    col.codes()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &code)| {
+            entries.get(code as usize).is_some_and(|e| e.value.data_type() != dominant)
+        })
+        .map(|(row, _)| row)
+        .collect()
+}
+
+/// Run CLAMS: infer constraints with the given RFD confidence threshold,
+/// then rank violating triples. The table is dictionary-encoded and
+/// canonicalized once; constraint discovery, the type census and the
+/// violation hypergraph all read those codes.
+pub fn analyze(table: &Table, min_rfd_confidence: f64) -> ClamsReport {
+    let canon = CanonTable::new(table);
+    let batch = canon.batch();
+    // Functional denial constraints from confident RFDs.
+    let mut constraints: Vec<DenialConstraint> = canon
+        .discover(min_rfd_confidence, true)
+        .into_iter()
+        .filter(|rfd| rfd.confidence < 1.0)
+        .map(DenialConstraint::FunctionalEquality)
+        .collect();
     // Type-uniformity constraints for columns with a dominant type.
-    for (ci, col) in table.columns().iter().enumerate() {
-        let mut counts: BTreeMap<DataType, usize> = BTreeMap::new();
-        for v in &col.values {
-            if !v.is_null() {
-                *counts.entry(v.data_type()).or_insert(0) += 1;
-            }
-        }
-        if counts.len() >= 2 {
-            let (&dominant, &n) = counts.iter().max_by_key(|&(_, &n)| n).expect("non-empty");
-            let total: usize = counts.values().sum();
-            if n * 10 >= total * 8 {
-                constraints.push(DenialConstraint::TypeUniformity { column: ci, dominant });
-            }
+    for (column, col) in batch.columns().iter().enumerate() {
+        if let Some(dominant) = dominant_type(col) {
+            constraints.push(DenialConstraint::TypeUniformity { column, dominant });
         }
     }
 
     // Violations → hypergraph.
     let mut hypergraph: BTreeMap<CellTriple, Vec<usize>> = BTreeMap::new();
     for (k, c) in constraints.iter().enumerate() {
-        match c {
-            DenialConstraint::FunctionalEquality(rfd) => {
-                for row in violations(table, rfd) {
-                    let col = &table.columns()[rfd.rhs];
-                    let t = CellTriple {
-                        row,
-                        column: col.name.clone(),
-                        value: col.values[row].render(),
-                    };
-                    hypergraph.entry(t).or_default().push(k);
-                }
-            }
-            DenialConstraint::TypeUniformity { column, dominant } => {
-                let col = &table.columns()[*column];
-                for (row, v) in col.values.iter().enumerate() {
-                    if !v.is_null() && v.data_type() != *dominant {
-                        let t = CellTriple {
-                            row,
-                            column: col.name.clone(),
-                            value: v.render(),
-                        };
-                        hypergraph.entry(t).or_default().push(k);
-                    }
-                }
-            }
+        let column = match c {
+            DenialConstraint::FunctionalEquality(rfd) => rfd.rhs,
+            DenialConstraint::TypeUniformity { column, .. } => *column,
+        };
+        let Some(col) = batch.column(column) else { continue };
+        let rows = match c {
+            DenialConstraint::FunctionalEquality(rfd) => canon.violations(rfd),
+            DenialConstraint::TypeUniformity { dominant, .. } => off_type_rows(col, *dominant),
+        };
+        for row in rows {
+            // A null cell renders as "": NULL_CODE has no entry.
+            let value = col
+                .codes()
+                .get(row)
+                .and_then(|&code| col.entries().get(code as usize))
+                .map_or_else(String::new, |e| e.text.clone());
+            let t = CellTriple { row, column: col.name().to_string(), value };
+            hypergraph.entry(t).or_default().push(k);
         }
     }
     let mut review_queue: Vec<(CellTriple, usize)> = hypergraph
@@ -124,14 +141,13 @@ pub fn analyze(table: &Table, min_rfd_confidence: f64) -> ClamsReport {
 
 /// Apply user validation: remove the rows of confirmed-dirty triples.
 pub fn remove_confirmed(table: &Table, confirmed: &[CellTriple]) -> Table {
-    let dirty_rows: Vec<usize> = confirmed.iter().map(|t| t.row).collect();
+    let dirty_rows: BTreeSet<usize> = confirmed.iter().map(|t| t.row).collect();
     let mut i = 0;
-    let filtered = table.filter(|_| {
+    table.filter(|_| {
         let keep = !dirty_rows.contains(&i);
         i += 1;
         keep
-    });
-    filtered
+    })
 }
 
 #[cfg(test)]
@@ -207,5 +223,47 @@ mod tests {
         .unwrap();
         let report = analyze(&t, 0.8);
         assert!(report.review_queue.is_empty());
+    }
+
+    #[test]
+    fn several_triples_on_one_row_remove_it_once() {
+        let t = dirty();
+        let triple = |row: usize, column: &str| CellTriple {
+            row,
+            column: column.to_string(),
+            value: String::new(),
+        };
+        let confirmed =
+            vec![triple(5, "country"), triple(4, "pop"), triple(5, "pop"), triple(5, "country")];
+        let cleaned = remove_confirmed(&t, &confirmed);
+        assert_eq!(cleaned.num_rows(), 6);
+        // Rows 3 and 6 slide into positions 3 and 4.
+        let cities = &cleaned.columns()[0].values;
+        assert_eq!(cities[3..5], [Value::str("paris"), Value::str("rome")]);
+        assert_eq!(remove_confirmed(&t, &[]).num_rows(), t.num_rows());
+    }
+
+    #[test]
+    fn matches_the_string_keyed_oracle() {
+        let mixed = Table::from_rows(
+            "mixed",
+            &["k", "v", "n"],
+            vec![
+                vec![Value::str("Delft "), Value::Int(3), Value::Null],
+                vec![Value::str("delft"), Value::Float(3.0), Value::str("")],
+                vec![Value::str("delft"), Value::str(" 3"), Value::Int(1)],
+                vec![Value::Null, Value::str("x"), Value::Int(2)],
+                vec![Value::str(""), Value::Null, Value::Int(2)],
+                vec![Value::str(""), Value::str("y"), Value::Float(2.5)],
+                vec![Value::str("paris"), Value::str("B"), Value::Int(4)],
+                vec![Value::str("PARIS"), Value::str("a"), Value::Int(4)],
+            ],
+        )
+        .unwrap();
+        for table in [dirty(), mixed] {
+            for threshold in [0.0, 0.5, 0.8] {
+                assert_eq!(analyze(&table, threshold), oracle::analyze(&table, threshold));
+            }
+        }
     }
 }

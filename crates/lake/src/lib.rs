@@ -131,9 +131,12 @@ impl DataLake {
         // Storage locations must stay distinct across versions: a
         // re-ingested source gets a versioned name so the previous
         // dataset's placement keeps resolving.
-        let collisions = self.metas.values().filter(|m| {
-            m.name == base_name || m.name.starts_with(&format!("{base_name}__v"))
-        }).count();
+        let version_prefix = format!("{base_name}__v");
+        let collisions = self
+            .metas
+            .values()
+            .filter(|m| m.name == base_name || m.name.starts_with(&version_prefix))
+            .count();
         let name = if collisions == 0 {
             base_name
         } else {

@@ -37,6 +37,10 @@ cargo test -q -p lake-server --test quota_prop
 # suite sweeps torn tails over every byte offset of the final frame.
 cargo test -q -p lake-server --test restart_chaos
 cargo test -q -p lake-server --test wal_prop
+# Differential oracle for the CLAMS promotion gate: the canon-coded
+# RFD/CLAMS kernel must equal the string-keyed reference on seeded
+# synthetic lakes (7/42/1337, clean and perturbed) and random tables.
+cargo test -q -p lake-maintain --test clams_prop
 cargo test -q -p lake-store fault::
 cargo test -q -p lake-core retry::
 cargo test -q -p lake-core --test retry_prop

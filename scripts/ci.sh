@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification chain for the rustlake workspace:
-# build, test, the repo-native static-analysis gate (including the
+# build, test (the workspace, then the benchmark's own unit tests), the
+# repo-native static-analysis gate (including the
 # float-ordering rule), the fault-injection chaos gate, the
 # observability smoke gate, the server smoke gate (boot, every verb,
 # metrics scrape, SIGTERM drain), the scheduler smoke gate (trace
@@ -23,6 +24,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# The wall-clock benchmark is a workspace of its own, so `cargo test`
+# above does not reach its unit tests (percentile rule, windowing, self
+# time).
+cargo test -q --manifest-path perfbench/Cargo.toml
 cargo run -p lake-lint -- check
 # Machine-readable lint report for downstream tooling (deterministic
 # ordering; the exit code above already gates the build).
