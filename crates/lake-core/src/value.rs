@@ -207,7 +207,9 @@ impl Value {
     }
 }
 
-/// FNV-1a, a tiny stable hash adequate for sketch seeding and bucketing.
+/// FNV-1a 64-bit: the workspace's one stable hash. It seeds sketches and
+/// buckets, decorrelates per-location fault streams and client RNGs, and
+/// checksums WAL frames and lakehouse log entries (their `crc` fields).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -315,6 +317,12 @@ impl From<String> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn infer_parses_each_type() {

@@ -18,23 +18,13 @@
 
 use crate::obs::HouseMetrics;
 use lake_core::retry::{retry_with_stats, Clock, RetryPolicy, RetryStats, SystemClock};
+use lake_core::value::fnv1a;
 use lake_core::{Json, LakeError, Result};
 use lake_formats::json as jsonfmt;
 use lake_store::object::ObjectStore;
 use lake_core::sync::{rank, OrderedMutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit, the checksum guarding each log entry against torn or
-/// corrupted writes. Rendered as 16 hex digits in the entry's `crc` field.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Parse and integrity-check one serialized log entry. Entries written
 /// before checksums existed (no `crc` field) are accepted; a present but
@@ -47,7 +37,7 @@ pub(crate) fn validate_entry(bytes: &[u8]) -> Result<Vec<Action>> {
         .ok_or_else(|| LakeError::parse("log entry lacks actions"))?;
     if let Some(stored) = doc.get("crc").and_then(Json::as_str) {
         let computed =
-            format!("{:016x}", fnv1a64(Json::Array(actions.to_vec()).to_string().as_bytes()));
+            format!("{:016x}", fnv1a(Json::Array(actions.to_vec()).to_string().as_bytes()));
         if stored != computed {
             return Err(LakeError::parse(format!(
                 "log entry checksum mismatch (stored {stored}, computed {computed})"
@@ -381,7 +371,7 @@ impl<'a> TxnLog<'a> {
     pub fn try_commit(&self, base_version: u64, actions: &[Action]) -> Result<u64> {
         let next = base_version + 1;
         let actions_json = Json::Array(actions.iter().map(Action::to_json).collect());
-        let crc = format!("{:016x}", fnv1a64(actions_json.to_string().as_bytes()));
+        let crc = format!("{:016x}", fnv1a(actions_json.to_string().as_bytes()));
         let doc = Json::obj(vec![("actions", actions_json), ("crc", Json::str(crc))]);
         let key = self.entry_key(next);
         let payload = doc.to_string();

@@ -76,8 +76,8 @@ impl BloomFilter {
         }
         let bits = buf[12..]
             .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+            .map(|c| c.try_into().ok().map(u64::from_le_bytes))
+            .collect::<Option<Vec<u64>>>()?;
         Some(BloomFilter { bits, num_bits, hashes })
     }
 

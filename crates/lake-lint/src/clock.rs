@@ -19,108 +19,38 @@
 //! Tests, benches, bins, and examples are exempt via the shared
 //! directory walk, same as the panic lint.
 
-use crate::errors::{matches_at, strip_comments_and_strings};
+use crate::lex::SourceFile;
 use crate::{Finding, Rule};
 
-/// The banned time-source tokens.
-const BANNED: &[&str] = &["Instant::now", "SystemTime::now"];
+/// The banned time sources: `<type>::now`.
+const BANNED: &[&str] = &["Instant", "SystemTime"];
 
 /// Scan one library source file for direct time reads outside `Clock`
 /// implementations.
-pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
-    let stripped = strip_comments_and_strings(src);
-    let chars: Vec<char> = stripped.chars().collect();
+pub fn scan_source(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut brace_depth = 0usize;
-    let mut cfg_test_depth: Option<usize> = None;
-    while i < chars.len() {
-        match chars[i] {
-            '\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            '{' => {
-                brace_depth += 1;
-                i += 1;
-                continue;
-            }
-            '}' => {
-                brace_depth = brace_depth.saturating_sub(1);
-                if cfg_test_depth.is_some_and(|d| brace_depth < d) {
-                    cfg_test_depth = None;
-                }
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if matches_at(&chars, i, "#[cfg(test)") {
-            cfg_test_depth = Some(brace_depth);
-            i += 1;
-            continue;
-        }
+    let mut i = 0;
+    while i < file.toks.len() {
         // Skip whole `impl … Clock for …` blocks: Clock implementations
         // are the designated owners of the real time source.
-        let at_impl = matches_at(&chars, i, "impl")
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
-            && chars.get(i + 4).is_some_and(|c| !c.is_alphanumeric() && *c != '_');
-        if at_impl {
-            let mut j = i;
-            let mut header = String::new();
-            while j < chars.len() && chars[j] != '{' && chars[j] != ';' {
-                header.push(chars[j]);
-                j += 1;
-            }
-            if chars.get(j) == Some(&'{') && header.contains("Clock for") {
-                // Walk past the whole impl block.
-                let mut depth = 0usize;
-                let mut k = j;
-                while k < chars.len() {
-                    match chars.get(k) {
-                        Some('\n') => line += 1,
-                        Some('{') => depth += 1,
-                        Some('}') => {
-                            depth = depth.saturating_sub(1);
-                            if depth == 0 {
-                                k += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                line += header.matches('\n').count();
-                i = k;
-                continue;
-            }
-            line += header.matches('\n').count();
-            i = j;
+        if let Some(open) = file.trait_impl_at(i, "Clock") {
+            i = file.group_end(open, '{', '}');
             continue;
         }
-        let mut matched = None;
-        if cfg_test_depth.is_none()
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
-        {
-            matched = BANNED.iter().find(|needle| matches_at(&chars, i, needle));
-        }
-        if let Some(needle) = matched {
-            findings.push(Finding {
-                rule: Rule::ClockDiscipline,
-                file: file.to_string(),
-                line,
-                message: format!(
-                    "{needle} read outside a Clock implementation; thread a \
+        let t = file.toks[i];
+        let now_call =
+            file.punct(i + 1, ':') && file.punct(i + 2, ':') && file.ident(i + 3) == Some("now");
+        if let Some(source) = file.ident(i).filter(|s| !t.test && now_call && BANNED.contains(s)) {
+            findings.push(file.finding(
+                Rule::ClockDiscipline,
+                t.line,
+                format!(
+                    "{source}::now read outside a Clock implementation; thread a \
                      lake_core::retry::Clock so the path replays under ManualClock"
                 ),
-            });
-            i += needle.chars().count();
-        } else {
-            i += 1;
+            ));
         }
+        i += 1;
     }
     findings
 }
@@ -128,6 +58,10 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan(src: &str) -> Vec<Finding> {
+        scan_source(&SourceFile::new("f.rs", src))
+    }
 
     #[test]
     fn direct_time_reads_are_flagged() {
@@ -138,7 +72,7 @@ pub fn timed() -> u64 {
     t0.elapsed().as_micros() as u64
 }
 "#;
-        let f = scan_source("f.rs", src);
+        let f = scan(src);
         assert_eq!(f.len(), 2, "{f:#?}");
         assert!(f.iter().all(|x| x.rule == Rule::ClockDiscipline));
         assert_eq!((f[0].line, f[1].line), (3, 4));
@@ -159,7 +93,7 @@ impl retry::Clock for OtherClock {
     fn now_micros(&self) -> u64 { Instant::now().elapsed().as_micros() as u64 }
 }
 "#;
-        assert!(scan_source("f.rs", src).is_empty(), "{:#?}", scan_source("f.rs", src));
+        assert!(scan(src).is_empty(), "{:#?}", scan(src));
     }
 
     #[test]
@@ -169,7 +103,7 @@ impl Profiler for Wall {
     fn profile(&self) -> u64 { Instant::now().elapsed().as_micros() as u64 }
 }
 "#;
-        assert_eq!(scan_source("f.rs", src).len(), 1);
+        assert_eq!(scan(src).len(), 1);
     }
 
     #[test]
@@ -183,6 +117,6 @@ fn f() { let _ = MyInstant::now(); }
 // Instant::now() in a comment
 fn g() { let s = "Instant::now()"; }
 "#;
-        assert!(scan_source("f.rs", src).is_empty(), "{:#?}", scan_source("f.rs", src));
+        assert!(scan(src).is_empty(), "{:#?}", scan(src));
     }
 }

@@ -25,9 +25,8 @@
 //!    is matched, so `std::cmp::Ordering` (which has no `Relaxed`) can
 //!    never false-positive.
 //!
-//! The model is a hand-rolled token walk over comment/string-stripped
-//! source — no `syn` in this offline workspace — so it is deliberately
-//! heuristic: guard liveness is tracked through `let` bindings, block
+//! The model is a walk over the shared token stream ([`crate::lex`]), so
+//! it is deliberately heuristic: guard liveness is tracked through `let` bindings, block
 //! scopes, statement-end for temporaries, and explicit `drop(..)`;
 //! interprocedural edges resolve callees by bare name across the
 //! workspace, skipping [`GENERIC_CALLEES`] (ubiquitous container-method
@@ -37,7 +36,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::errors::strip_comments_and_strings;
+use crate::lex::{SourceFile, Tok};
 use crate::{Finding, Rule};
 
 /// Path prefixes whose atomics are declared counters: `Ordering::Relaxed`
@@ -163,80 +162,38 @@ pub struct Analysis {
     findings: Vec<Finding>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Punct(char),
-}
-
-/// Tokenize stripped source into idents and single-char puncts with
-/// 1-based line numbers. Numeric literals come through as `Ident`s of
-/// their digits so rank values stay recoverable.
-fn lex(stripped: &str) -> Vec<(Tok, usize)> {
-    let chars: Vec<char> = stripped.chars().collect();
-    let mut toks = Vec::new();
-    let mut line = 1;
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            line += 1;
-            i += 1;
-        } else if c.is_whitespace() {
-            i += 1;
-        } else if c.is_alphanumeric() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            toks.push((Tok::Ident(chars[start..i].iter().collect()), line));
-        } else {
-            toks.push((Tok::Punct(c), line));
-            i += 1;
-        }
+/// The identifier or numeric literal at token `i`: rank values and
+/// tuple-field lock receivers (`self.0.lock()`) are numbers.
+fn word_at<'a>(file: &SourceFile<'a>, i: usize) -> Option<&'a str> {
+    match file.toks.get(i)?.tok {
+        Tok::Ident(s) | Tok::Num(s) => Some(s),
+        Tok::Punct(_) => None,
     }
-    toks
-}
-
-fn ident_at(toks: &[(Tok, usize)], i: usize) -> Option<&str> {
-    match toks.get(i) {
-        Some((Tok::Ident(s), _)) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[(Tok, usize)], i: usize, c: char) -> bool {
-    matches!(toks.get(i), Some((Tok::Punct(p), _)) if *p == c)
 }
 
 impl Analysis {
     /// Scan one library source file, accumulating lock facts and
     /// emitting any per-file (rule 7/8) findings.
-    pub fn add_source(&mut self, file: &str, src: &str) {
-        let stripped = strip_comments_and_strings(src);
-        let raw_lines: Vec<&str> = src.lines().collect();
-        let toks = lex(&stripped);
-        let lock_map = self.collect_rank_consts_and_locks(file, &toks);
-        self.walk(file, &toks, &lock_map, &raw_lines);
+    pub fn add_source(&mut self, file: &SourceFile) {
+        let lock_map = self.collect_rank_consts_and_locks(file);
+        self.walk(file, &lock_map);
     }
 
     /// Pre-pass: collect `mod rank { const … }` declarations and build
     /// this file's lock-name → class map from `Ordered*::new(…, rank::X,
     /// …)` construction sites and raw `field: Mutex<…>` declarations.
-    fn collect_rank_consts_and_locks(
-        &mut self,
-        file: &str,
-        toks: &[(Tok, usize)],
-    ) -> BTreeMap<String, Class> {
+    fn collect_rank_consts_and_locks(&mut self, file: &SourceFile) -> BTreeMap<String, Class> {
+        let toks = &file.toks;
+        let path = file.path;
         let mut map: BTreeMap<String, Class> = BTreeMap::new();
         let mut i = 0;
         while i < toks.len() {
             // `mod rank {` — record every `const NAME: u32 = N;` inside.
-            if ident_at(toks, i) == Some("mod") && ident_at(toks, i + 1) == Some("rank") {
+            if file.ident(i) == Some("mod") && file.ident(i + 1) == Some("rank") {
                 let mut j = i + 2;
                 let mut depth = 0usize;
                 while j < toks.len() {
-                    match &toks[j].0 {
+                    match toks[j].tok {
                         Tok::Punct(';') if depth == 0 => break, // `mod rank;`
                         Tok::Punct('{') => depth += 1,
                         Tok::Punct('}') => {
@@ -245,14 +202,14 @@ impl Analysis {
                                 break;
                             }
                         }
-                        Tok::Ident(w) if w == "const" && depth > 0 => {
+                        Tok::Ident("const") if depth > 0 => {
                             // const NAME : u32 = VALUE ;
                             if let (Some(name), Some(value)) =
-                                (ident_at(toks, j + 1), const_u32_value(toks, j))
+                                (file.ident(j + 1), const_u32_value(file, j))
                             {
                                 self.rank_consts.entry(name.to_string()).or_insert(RankConst {
-                                    file: file.to_string(),
-                                    line: toks[j].1,
+                                    file: path.to_string(),
+                                    line: toks[j].line,
                                     value,
                                 });
                             }
@@ -266,15 +223,15 @@ impl Analysis {
             }
             // `OrderedMutex::new(` / `OrderedRwLock::new(` — find the
             // rank constant inside the call and the binding name before.
-            if let Some(w) = ident_at(toks, i) {
+            if let Some(w) = file.ident(i) {
                 if (w == "OrderedMutex" || w == "OrderedRwLock")
-                    && punct_at(toks, i + 1, ':')
-                    && punct_at(toks, i + 2, ':')
-                    && ident_at(toks, i + 3) == Some("new")
-                    && punct_at(toks, i + 4, '(')
+                    && file.punct(i + 1, ':')
+                    && file.punct(i + 2, ':')
+                    && file.ident(i + 3) == Some("new")
+                    && file.punct(i + 4, '(')
                 {
-                    if let Some(konst) = rank_const_in_call(toks, i + 4) {
-                        if let Some(name) = binding_name_before(toks, i) {
+                    if let Some(konst) = rank_const_in_call(file, i + 4) {
+                        if let Some(name) = binding_name_before(file, i) {
                             map.insert(name, Class::Ranked(konst));
                         }
                     }
@@ -283,14 +240,14 @@ impl Analysis {
                 // typed local: an unranked leaf unless a ranked
                 // constructor already claimed the name.
                 if (w == "Mutex" || w == "RwLock")
-                    && punct_at(toks, i + 1, '<')
+                    && file.punct(i + 1, '<')
                     && i >= 2
-                    && punct_at(toks, i - 1, ':')
-                    && !punct_at(toks, i - 2, ':')
+                    && file.punct(i - 1, ':')
+                    && !file.punct(i - 2, ':')
                 {
-                    if let Some(name) = ident_at(toks, i - 2) {
+                    if let Some(name) = word_at(file, i - 2) {
                         map.entry(name.to_string())
-                            .or_insert_with(|| Class::Unranked(format!("{file}#{name}")));
+                            .or_insert_with(|| Class::Unranked(format!("{path}#{name}")));
                     }
                 }
             }
@@ -299,35 +256,21 @@ impl Analysis {
         map
     }
 
-    /// Linear walk: track braces, `#[cfg(test)]` regions, the current
-    /// function, live guards, and record acquisition/call/atomic events.
-    fn walk(
-        &mut self,
-        file: &str,
-        toks: &[(Tok, usize)],
-        lock_map: &BTreeMap<String, Class>,
-        raw_lines: &[&str],
-    ) {
+    /// Linear walk: track braces, the current function and live guards,
+    /// and record acquisition/call/atomic events outside `#[cfg(test)]`.
+    fn walk(&mut self, file: &SourceFile, lock_map: &BTreeMap<String, Class>) {
+        let toks = &file.toks;
+        let path = file.path;
         let mut depth = 0usize;
-        let mut cfg_test: Option<usize> = None;
         let mut pending_fn: Option<String> = None;
         let mut fn_stack: Vec<(String, usize)> = Vec::new();
         let mut holds: Vec<Hold> = Vec::new();
         let mut pending_let: Option<(usize, Option<String>)> = None;
         let mut i = 0;
         while i < toks.len() {
-            let line = toks[i].1;
-            match &toks[i].0 {
-                Tok::Punct('#')
-                    if punct_at(toks, i + 1, '[')
-                        && ident_at(toks, i + 2) == Some("cfg")
-                        && punct_at(toks, i + 3, '(')
-                        && ident_at(toks, i + 4) == Some("test") =>
-                {
-                    cfg_test.get_or_insert(depth);
-                    i += 5;
-                    continue;
-                }
+            let t = toks[i];
+            let line = t.line;
+            match t.tok {
                 Tok::Punct('{') => {
                     depth += 1;
                     if let Some(name) = pending_fn.take() {
@@ -336,9 +279,6 @@ impl Analysis {
                 }
                 Tok::Punct('}') => {
                     depth = depth.saturating_sub(1);
-                    if cfg_test.is_some_and(|d| depth < d) {
-                        cfg_test = None;
-                    }
                     while fn_stack.last().is_some_and(|(_, d)| *d > depth) {
                         fn_stack.pop();
                     }
@@ -358,75 +298,70 @@ impl Analysis {
                     }
                     pending_fn = None;
                 }
-                Tok::Ident(w) if w == "fn" => {
-                    if let Some(name) = ident_at(toks, i + 1) {
+                Tok::Ident("fn") => {
+                    if let Some(name) = file.ident(i + 1) {
                         *self.fn_defs.entry(name.to_string()).or_insert(0) += 1;
                         pending_fn = Some(name.to_string());
                         i += 2;
                         continue;
                     }
                 }
-                Tok::Ident(w) if w == "let" => {
+                Tok::Ident("let") => {
                     // `if let` / `while let` scrutinee guards are
                     // temporaries (they die with the statement's block),
                     // not bindings.
-                    let scrutinee = i > 0
-                        && matches!(&toks[i - 1].0,
-                            Tok::Ident(k) if k == "if" || k == "while");
+                    let scrutinee = i > 0 && matches!(file.ident(i - 1), Some("if" | "while"));
                     if !scrutinee {
                         let mut j = i + 1;
-                        while ident_at(toks, j) == Some("mut") {
+                        while file.ident(j) == Some("mut") {
                             j += 1;
                         }
-                        pending_let = Some((depth, ident_at(toks, j).map(str::to_string)));
+                        pending_let = Some((depth, word_at(file, j).map(str::to_string)));
                     }
                 }
-                Tok::Ident(w) if w == "drop" && punct_at(toks, i + 1, '(') => {
-                    if let Some(name) = ident_at(toks, i + 2) {
-                        if punct_at(toks, i + 3, ')') {
+                Tok::Ident("drop") if file.punct(i + 1, '(') => {
+                    if let Some(name) = word_at(file, i + 2) {
+                        if file.punct(i + 3, ')') {
                             holds.retain(|h| h.binding.as_deref() != Some(name));
                         }
                     }
                 }
-                Tok::Ident(w)
-                    if w == "Ordering"
-                        && punct_at(toks, i + 1, ':')
-                        && punct_at(toks, i + 2, ':')
-                        && ident_at(toks, i + 3) == Some("Relaxed") =>
+                Tok::Ident("Ordering")
+                    if file.punct(i + 1, ':')
+                        && file.punct(i + 2, ':')
+                        && file.ident(i + 3) == Some("Relaxed") =>
                 {
-                    if cfg_test.is_none()
-                        && !is_counter_atomic_path(file)
-                        && !has_ordering_justification(raw_lines, line)
+                    if !t.test
+                        && !is_counter_atomic_path(path)
+                        && !file.justified(line, "lint: ordering")
                     {
-                        self.findings.push(Finding {
-                            rule: Rule::AtomicOrdering,
-                            file: file.to_string(),
+                        self.findings.push(file.finding(
+                            Rule::AtomicOrdering,
                             line,
-                            message: "Ordering::Relaxed outside a declared counter atomic; \
-                                      use a stronger ordering or justify with `// lint: ordering`"
-                                .to_string(),
-                        });
+                            "Ordering::Relaxed outside a declared counter atomic; use a stronger \
+                             ordering or justify with `// lint: ordering`",
+                        ));
                     }
                     i += 4;
                     continue;
                 }
                 Tok::Ident(name) => {
-                    if cfg_test.is_some() || KEYWORDS.contains(&name.as_str()) {
+                    if t.test || KEYWORDS.contains(&name) {
                         i += 1;
                         continue;
                     }
                     // Acquisition: `<recv>.lock()` / `.read()` / `.write()`.
                     if i >= 2
-                        && punct_at(toks, i - 1, '.')
-                        && ACQUIRE_METHODS.contains(&name.as_str())
-                        && punct_at(toks, i + 1, '(')
-                        && punct_at(toks, i + 2, ')')
+                        && file.punct(i - 1, '.')
+                        && ACQUIRE_METHODS.contains(&name)
+                        && file.punct(i + 1, '(')
+                        && file.punct(i + 2, ')')
                     {
-                        if let Some(recv) = ident_at(toks, i - 2) {
+                        if let Some(recv) = word_at(file, i - 2) {
                             let class = match lock_map.get(recv) {
                                 Some(c) => Some(c.clone()),
                                 None if name == "lock" => {
-                                    Some(Class::Unranked(format!("{file}#{recv}")))
+                                    Some(Class::Unranked(format!("{path}#{recv}")))
                                 }
                                 None => None, // unresolved .read()/.write(): not a lock
                             };
@@ -435,9 +370,9 @@ impl Analysis {
                                 // statement temporary — the chained
                                 // result, not the guard, reaches any
                                 // `let` binding.
-                                let chained = punct_at(toks, i + 3, '.');
+                                let chained = file.punct(i + 3, '.');
                                 self.on_acquire(
-                                    file,
+                                    path,
                                     line,
                                     class,
                                     depth,
@@ -454,21 +389,21 @@ impl Analysis {
                     // Call event: `name(` that is not a macro (`name!`),
                     // a definition (preceded by `fn`), or a type-ish
                     // constructor (uppercase).
-                    if punct_at(toks, i + 1, '(')
+                    if file.punct(i + 1, '(')
                         && name.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
-                        && !ACQUIRE_METHODS.contains(&name.as_str())
+                        && !ACQUIRE_METHODS.contains(&name)
                     {
                         // Store methods block only on store-ish receivers:
                         // `self.store.get(..)` yes, `map.get(..)` no.
-                        let receiver = if punct_at(toks, i - 1, '.') {
-                            ident_at(toks, i.wrapping_sub(2))
+                        let receiver = if i > 0 && file.punct(i - 1, '.') {
+                            word_at(file, i.wrapping_sub(2))
                         } else {
                             None
                         };
-                        let store_blocking = STORE_METHODS.contains(&name.as_str())
-                            && receiver.is_some_and(is_storeish);
-                        let blocking = BLOCKING_FNS.contains(&name.as_str()) || store_blocking;
-                        self.on_call(file, line, name, blocking, &holds, &fn_stack);
+                        let store_blocking =
+                            STORE_METHODS.contains(&name) && receiver.is_some_and(is_storeish);
+                        let blocking = BLOCKING_FNS.contains(&name) || store_blocking;
+                        self.on_call(path, line, name, blocking, &holds, &fn_stack);
                     }
                 }
                 _ => {}
@@ -813,44 +748,20 @@ fn is_storeish(receiver: &str) -> bool {
     receiver == "files" || receiver == "inner" || receiver.contains("store")
 }
 
-/// Is there a `lint: ordering` justification on `line` or in the
-/// contiguous `//` comment block immediately above it?
-fn has_ordering_justification(raw_lines: &[&str], line: usize) -> bool {
-    let here = raw_lines.get(line.wrapping_sub(1)).copied().unwrap_or("");
-    if here.contains("lint: ordering") {
-        return true;
-    }
-    let mut ln = line.wrapping_sub(1); // 0-based index of the line above
-    while ln > 0 {
-        ln -= 1;
-        let text = raw_lines.get(ln).copied().unwrap_or("").trim_start();
-        if !text.starts_with("//") {
-            return false;
-        }
-        if text.contains("lint: ordering") {
-            return true;
-        }
-    }
-    false
-}
-
 /// Parse `const NAME : u32 = VALUE ;` starting at the `const` token.
-fn const_u32_value(toks: &[(Tok, usize)], j: usize) -> Option<u32> {
-    if !(punct_at(toks, j + 2, ':')
-        && ident_at(toks, j + 3) == Some("u32")
-        && punct_at(toks, j + 4, '='))
-    {
+fn const_u32_value(file: &SourceFile, j: usize) -> Option<u32> {
+    if !(file.punct(j + 2, ':') && file.ident(j + 3) == Some("u32") && file.punct(j + 4, '=')) {
         return None;
     }
-    ident_at(toks, j + 5).and_then(|v| v.replace('_', "").parse().ok())
+    word_at(file, j + 5).and_then(|v| v.replace('_', "").parse().ok())
 }
 
 /// Inside the balanced parens opened at `open`, find `rank :: CONST`.
-fn rank_const_in_call(toks: &[(Tok, usize)], open: usize) -> Option<String> {
+fn rank_const_in_call(file: &SourceFile, open: usize) -> Option<String> {
     let mut depth = 0usize;
     let mut j = open;
-    while j < toks.len() {
-        match &toks[j].0 {
+    while j < file.toks.len() {
+        match file.toks[j].tok {
             Tok::Punct('(') => depth += 1,
             Tok::Punct(')') => {
                 depth = depth.saturating_sub(1);
@@ -858,10 +769,8 @@ fn rank_const_in_call(toks: &[(Tok, usize)], open: usize) -> Option<String> {
                     return None;
                 }
             }
-            Tok::Ident(w)
-                if w == "rank" && punct_at(toks, j + 1, ':') && punct_at(toks, j + 2, ':') =>
-            {
-                return ident_at(toks, j + 3).map(str::to_string);
+            Tok::Ident("rank") if file.punct(j + 1, ':') && file.punct(j + 2, ':') => {
+                return file.ident(j + 3).map(str::to_string);
             }
             _ => {}
         }
@@ -872,27 +781,27 @@ fn rank_const_in_call(toks: &[(Tok, usize)], open: usize) -> Option<String> {
 
 /// Walk backwards from a constructor to its binding name: skips wrapper
 /// layers (`Arc::new(`, path segments) to reach `field:` or `let name =`.
-fn binding_name_before(toks: &[(Tok, usize)], mut i: usize) -> Option<String> {
+fn binding_name_before(file: &SourceFile, mut i: usize) -> Option<String> {
     while i > 0 {
         i -= 1;
-        match &toks[i].0 {
-            Tok::Punct('(') | Tok::Punct('{') => continue,
+        match file.toks[i].tok {
+            Tok::Punct('(' | '{') => continue,
             Tok::Ident(w) => {
                 // A path segment (`Arc` in `Arc::new`) or `new` itself.
-                let is_path_seg = punct_at(toks, i + 1, ':') && punct_at(toks, i + 2, ':');
+                let is_path_seg = file.punct(i + 1, ':') && file.punct(i + 2, ':');
                 if is_path_seg || w == "new" {
                     continue;
                 }
                 return None;
             }
             Tok::Punct(':') => {
-                if i > 0 && punct_at(toks, i - 1, ':') {
+                if i > 0 && file.punct(i - 1, ':') {
                     i -= 1; // the `::` of a path — skip both colons
                     continue;
                 }
-                return preceding_binding_ident(toks, i);
+                return preceding_binding_ident(file, i);
             }
-            Tok::Punct('=') => return preceding_binding_ident(toks, i),
+            Tok::Punct('=') => return preceding_binding_ident(file, i),
             _ => return None,
         }
     }
@@ -900,13 +809,12 @@ fn binding_name_before(toks: &[(Tok, usize)], mut i: usize) -> Option<String> {
 }
 
 /// The identifier immediately before token `i`, skipping `mut`.
-fn preceding_binding_ident(toks: &[(Tok, usize)], mut i: usize) -> Option<String> {
+fn preceding_binding_ident(file: &SourceFile, mut i: usize) -> Option<String> {
     while i > 0 {
         i -= 1;
-        match &toks[i].0 {
-            Tok::Ident(w) if w == "mut" => continue,
-            Tok::Ident(name) => return Some(name.clone()),
-            _ => return None,
+        match word_at(file, i) {
+            Some("mut") => continue,
+            name => return name.map(str::to_string),
         }
     }
     None

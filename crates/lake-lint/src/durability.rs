@@ -19,7 +19,7 @@
 //! other source lint; tests, benches, and bins are exempt via the
 //! shared directory walk.
 
-use crate::errors::{matches_at, strip_comments_and_strings};
+use crate::lex::{SourceFile, Tok};
 use crate::{Finding, Rule};
 
 /// One function body being tracked: the brace depth of its body and the
@@ -35,143 +35,80 @@ fn in_scope(file: &str) -> bool {
 }
 
 /// Scan one library source file for unsynced journal writes.
-pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
-    if !in_scope(file) {
+pub fn scan_source(file: &SourceFile) -> Vec<Finding> {
+    if !in_scope(file.path) {
         return Vec::new();
     }
-    let raw_lines: Vec<&str> = src.lines().collect();
-    let stripped = strip_comments_and_strings(src);
-    let chars: Vec<char> = stripped.chars().collect();
     let mut findings = Vec::new();
     let mut frames: Vec<FnFrame> = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut brace_depth = 0usize;
-    let mut cfg_test_depth: Option<usize> = None;
+    let mut depth = 0usize;
     // Set while between a `fn` keyword and its body `{` (or a bodyless
     // `;`); tracks paren/bracket nesting so a `;` inside `[u8; 12]` in
     // the signature does not end the header early.
     let mut fn_header: Option<usize> = None;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            '{' => {
-                brace_depth += 1;
+    for (i, t) in file.toks.iter().enumerate() {
+        let call = |name: &str| file.ident(i + 1) == Some(name) && file.punct(i + 2, '(');
+        match t.tok {
+            Tok::Ident("fn") => fn_header = Some(0),
+            Tok::Punct('{') => {
+                depth += 1;
                 if fn_header.take().is_some() {
-                    frames.push(FnFrame { body_depth: brace_depth, pending: Vec::new() });
+                    frames.push(FnFrame { body_depth: depth, pending: Vec::new() });
                 }
-                i += 1;
-                continue;
             }
-            '}' => {
-                brace_depth = brace_depth.saturating_sub(1);
-                if cfg_test_depth.is_some_and(|d| brace_depth < d) {
-                    cfg_test_depth = None;
+            Tok::Punct('}') => {
+                depth = depth.saturating_sub(1);
+                while let Some(frame) = frames.pop_if(|f| depth < f.body_depth) {
+                    findings.extend(frame.pending.into_iter().map(|at| {
+                        file.finding(
+                            Rule::Durability,
+                            at,
+                            "write_all on a journal path with no following sync_all/sync_data \
+                             in this fn; the ack contract needs the bytes on disk, not in the \
+                             page cache — fsync or justify with `// lint: durability <why>`",
+                        )
+                    }));
                 }
-                while frames.last().is_some_and(|f| brace_depth < f.body_depth) {
-                    if let Some(frame) = frames.pop() {
-                        for at in frame.pending {
-                            findings.push(Finding {
-                                rule: Rule::Durability,
-                                file: file.to_string(),
-                                line: at,
-                                message: "write_all on a journal path with no following \
-                                          sync_all/sync_data in this fn; the ack contract \
-                                          needs the bytes on disk, not in the page cache — \
-                                          fsync or justify with `// lint: durability <why>`"
-                                    .to_string(),
-                            });
-                        }
-                    }
-                }
-                i += 1;
-                continue;
             }
-            '(' | '[' => {
+            Tok::Punct('(' | '[') => {
                 if let Some(d) = fn_header.as_mut() {
                     *d += 1;
                 }
             }
-            ')' | ']' => {
+            Tok::Punct(')' | ']') => {
                 if let Some(d) = fn_header.as_mut() {
                     *d = d.saturating_sub(1);
                 }
             }
-            ';' => {
-                if fn_header == Some(0) {
-                    // Bodyless declaration (trait method, extern).
-                    fn_header = None;
+            // Bodyless declaration (trait method, extern).
+            Tok::Punct(';') if fn_header == Some(0) => fn_header = None,
+            Tok::Punct('.')
+                if !t.test
+                    && call("write_all")
+                    && !file.justified(t.line, "lint: durability") =>
+            {
+                if let Some(frame) = frames.last_mut() {
+                    frame.pending.push(t.line);
+                }
+            }
+            Tok::Punct('.') if !t.test && (call("sync_all") || call("sync_data")) => {
+                if let Some(frame) = frames.last_mut() {
+                    frame.pending.clear();
                 }
             }
             _ => {}
         }
-        if matches_at(&chars, i, "#[cfg(test)") {
-            cfg_test_depth = Some(brace_depth);
-            i += 1;
-            continue;
-        }
-        let boundary =
-            i == 0 || chars.get(i - 1).map_or(true, |p| !p.is_alphanumeric() && *p != '_');
-        if boundary
-            && matches_at(&chars, i, "fn")
-            && chars.get(i + 2).is_some_and(|n| !n.is_alphanumeric() && *n != '_')
-        {
-            fn_header = Some(0);
-            i += 2;
-            continue;
-        }
-        if cfg_test_depth.is_none() {
-            if matches_at(&chars, i, ".write_all(") {
-                if !has_durability_justification(&raw_lines, line) {
-                    if let Some(frame) = frames.last_mut() {
-                        frame.pending.push(line);
-                    }
-                }
-                i += ".write_all(".len();
-                continue;
-            }
-            if matches_at(&chars, i, ".sync_all(") || matches_at(&chars, i, ".sync_data(") {
-                if let Some(frame) = frames.last_mut() {
-                    frame.pending.clear();
-                }
-                i += ".sync_".len();
-                continue;
-            }
-        }
-        i += 1;
     }
     findings
-}
-
-/// Is there a `lint: durability` justification on `line` or in the
-/// contiguous `//` comment block immediately above it?
-fn has_durability_justification(raw_lines: &[&str], line: usize) -> bool {
-    let here = raw_lines.get(line.wrapping_sub(1)).copied().unwrap_or("");
-    if here.contains("lint: durability") {
-        return true;
-    }
-    let mut ln = line.wrapping_sub(1); // 0-based index of the line above
-    while ln > 0 {
-        ln -= 1;
-        let text = raw_lines.get(ln).copied().unwrap_or("").trim_start();
-        if !text.starts_with("//") {
-            return false;
-        }
-        if text.contains("lint: durability") {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan(path: &str, src: &str) -> Vec<Finding> {
+        scan_source(&SourceFile::new(path, src))
+    }
 
     #[test]
     fn unsynced_write_is_flagged_synced_write_is_not() {
@@ -184,7 +121,7 @@ pub fn unsynced(f: &mut std::fs::File, buf: &[u8]) -> std::io::Result<()> {
     f.write_all(buf)
 }
 "#;
-        let f = scan_source("crates/x/src/wal.rs", src);
+        let f = scan("crates/x/src/wal.rs", src);
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].rule, Rule::Durability);
         assert_eq!(f[0].line, 7, "{f:#?}");
@@ -197,7 +134,7 @@ pub fn chained(f: &std::fs::File, b: &[u8]) -> std::io::Result<()> {
     (&*f).write_all(b).and_then(|()| f.sync_all())
 }
 "#;
-        assert!(scan_source("crates/x/src/durable.rs", src).is_empty());
+        assert!(scan("crates/x/src/durable.rs", src).is_empty());
     }
 
     #[test]
@@ -208,7 +145,7 @@ pub fn backwards(f: &mut std::fs::File, b: &[u8]) -> std::io::Result<()> {
     f.write_all(b)
 }
 "#;
-        assert_eq!(scan_source("crates/x/src/wal.rs", src).len(), 1);
+        assert_eq!(scan("crates/x/src/wal.rs", src).len(), 1);
     }
 
     #[test]
@@ -218,14 +155,14 @@ pub fn unsynced(f: &mut std::fs::File, b: &[u8]) -> std::io::Result<()> {
     f.write_all(b)
 }
 "#;
-        assert!(scan_source("crates/x/src/object.rs", src).is_empty());
+        assert!(scan("crates/x/src/object.rs", src).is_empty());
         let test_src = r#"
 #[cfg(test)]
 mod tests {
     fn tear(f: &mut std::fs::File, b: &[u8]) { let _ = f.write_all(b); }
 }
 "#;
-        assert!(scan_source("crates/x/src/wal.rs", test_src).is_empty());
+        assert!(scan("crates/x/src/wal.rs", test_src).is_empty());
     }
 
     #[test]
@@ -240,6 +177,6 @@ pub fn header(f: &mut std::fs::File, b: [u8; 12]) -> std::io::Result<()> {
     f.sync_data()
 }
 "#;
-        assert!(scan_source("crates/x/src/wal.rs", src).is_empty());
+        assert!(scan("crates/x/src/wal.rs", src).is_empty());
     }
 }

@@ -7,9 +7,9 @@
 //! kinds matchable (`Conflict` vs `NotFound` drives retry logic in the
 //! lakehouse commit path).
 //!
-//! Signature extraction is line-based on top of a brace-depth walk — no
-//! `syn` available — and deliberately conservative: only signatures it can
-//! fully read (up to `{`, `;`, or `where`) are judged.
+//! Signatures are read off the shared token stream ([`crate::lex`]) and
+//! judged conservatively: only the tokens up to the body `{` (or a
+//! bodyless `;`) count, and only a `Result<…>` after the top-level `->`.
 //!
 //! A second pass ([`scan_atomicity`]) guards the lakehouse's one
 //! correctness primitive: any `ObjectStore` impl that provides
@@ -19,72 +19,27 @@
 //! single functional test, so the claim has to be written down where
 //! reviewers will see it.
 
+use crate::lex::{is_punct, SourceFile, Tok, Token};
 use crate::{Finding, Rule};
 
 /// Scan one library source file for stringly-typed public error returns.
-pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
-    let stripped = strip_comments_and_strings(src);
+pub fn scan_source(file: &SourceFile) -> Vec<Finding> {
+    let toks = &file.toks;
     let mut findings = Vec::new();
-    let bytes: Vec<char> = stripped.chars().collect();
-    let mut i = 0;
-    let mut line = 1;
-    let mut cfg_test_depth: Option<usize> = None;
-    let mut brace_depth = 0usize;
-    while i < bytes.len() {
-        if bytes[i] == '\n' {
-            line += 1;
-            i += 1;
+    for (i, t) in toks.iter().enumerate() {
+        if t.test || file.ident(i) != Some("pub") || file.ident(i + 1) != Some("fn") {
             continue;
         }
-        if bytes[i] == '{' {
-            brace_depth += 1;
-            i += 1;
-            continue;
+        let end = (i..toks.len())
+            .find(|&k| file.punct(k, '{') || file.punct(k, ';'))
+            .unwrap_or(toks.len());
+        if let Some(bad) = stringly_error(&toks[i..end]) {
+            findings.push(file.finding(
+                Rule::ErrorDiscipline,
+                t.line,
+                format!("public fn returns Result<_, {bad}>; use lake_core::error types"),
+            ));
         }
-        if bytes[i] == '}' {
-            brace_depth = brace_depth.saturating_sub(1);
-            if cfg_test_depth.is_some_and(|d| brace_depth < d) {
-                cfg_test_depth = None;
-            }
-            i += 1;
-            continue;
-        }
-        // Track `#[cfg(test)]` regions so test helpers are exempt.
-        if matches_at(&bytes, i, "#[cfg(test)") {
-            cfg_test_depth = Some(brace_depth);
-            i += 1;
-            continue;
-        }
-        if cfg_test_depth.is_none()
-            && matches_at(&bytes, i, "pub fn ")
-            && (i == 0 || !bytes[i - 1].is_alphanumeric())
-        {
-            // Read the signature through to `{`, `;`, or `where`.
-            let sig_start = i;
-            let mut j = i;
-            let mut sig = String::new();
-            while j < bytes.len() && bytes[j] != '{' && bytes[j] != ';' {
-                sig.push(bytes[j]);
-                j += 1;
-            }
-            let sig_line = line; // findings anchor at the `pub fn` line
-            if let Some(bad) = stringly_error(&sig) {
-                findings.push(Finding {
-                    rule: Rule::ErrorDiscipline,
-                    file: file.to_string(),
-                    line: sig_line,
-                    message: format!(
-                        "public fn returns Result<_, {bad}>; use lake_core::error types"
-                    ),
-                });
-            }
-            // Continue the main walk from the signature end (newlines
-            // inside the signature still need counting).
-            line += bytes[sig_start..j.min(bytes.len())].iter().filter(|&&c| c == '\n').count();
-            i = j;
-            continue;
-        }
-        i += 1;
     }
     findings
 }
@@ -92,252 +47,120 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
 /// Scan one library source file for `ObjectStore` impls whose
 /// `put_if_absent` carries no atomicity documentation.
 ///
-/// Structure (impl headers, block extents, the `fn put_if_absent`
-/// token) is detected on the comment/string-stripped text; the word
-/// `atomic` is then searched case-insensitively in the *raw* source,
+/// The word `atomic` is searched case-insensitively in the *raw* source,
 /// from ~20 lines above the impl header (leading doc comments) through
 /// the end of the impl block (body comments). `#[cfg(test)]` impls are
 /// exempt, like every other source lint.
-pub fn scan_atomicity(file: &str, src: &str) -> Vec<Finding> {
-    let stripped = strip_comments_and_strings(src);
-    let chars: Vec<char> = stripped.chars().collect();
-    let raw_lines: Vec<&str> = src.lines().collect();
+pub fn scan_atomicity(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut brace_depth = 0usize;
-    let mut cfg_test_depth: Option<usize> = None;
-    while i < chars.len() {
-        match chars[i] {
-            '\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            '{' => {
-                brace_depth += 1;
-                i += 1;
-                continue;
-            }
-            '}' => {
-                brace_depth = brace_depth.saturating_sub(1);
-                if cfg_test_depth.is_some_and(|d| brace_depth < d) {
-                    cfg_test_depth = None;
-                }
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if matches_at(&chars, i, "#[cfg(test)") {
-            cfg_test_depth = Some(brace_depth);
+    let mut i = 0;
+    while i < file.toks.len() {
+        let Some(open) = file.trait_impl_at(i, "ObjectStore").filter(|_| !file.toks[i].test)
+        else {
             i += 1;
             continue;
+        };
+        let end = file.group_end(open, '{', '}');
+        let impl_line = file.toks[i].line;
+        let end_line = file.toks.get(end - 1).map_or(impl_line, |t| t.line);
+        let provides = |k: usize| {
+            file.ident(k) == Some("fn") && file.ident(k + 1) == Some("put_if_absent")
+        };
+        if (open..end).any(provides) {
+            let from = impl_line.saturating_sub(21); // 0-based: 20 lines of leading docs
+            let documented = file
+                .lines
+                .get(from..end_line.min(file.lines.len()))
+                .unwrap_or(&[])
+                .iter()
+                .any(|l| l.to_ascii_lowercase().contains("atomic"));
+            if !documented {
+                findings.push(file.finding(
+                    Rule::ErrorDiscipline,
+                    impl_line,
+                    "ObjectStore impl provides put_if_absent without documenting its \
+                     atomicity guarantee",
+                ));
+            }
         }
-        let at_impl = matches_at(&chars, i, "impl")
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
-            && chars.get(i + 4).is_some_and(|c| !c.is_alphanumeric() && *c != '_');
-        if cfg_test_depth.is_none() && at_impl {
-            // Header through to `{` (or `;` for e.g. `impl Trait` in a
-            // return position — not a block, skip).
-            let mut j = i;
-            let mut header = String::new();
-            while j < chars.len() && chars[j] != '{' && chars[j] != ';' {
-                header.push(chars[j]);
-                j += 1;
-            }
-            if chars.get(j) != Some(&'{') || !header.contains("ObjectStore for") {
-                line += header.matches('\n').count();
-                i = j;
-                continue;
-            }
-            let impl_line = line;
-            // Walk the block to its matching brace.
-            let block_start = j;
-            let mut depth = 0usize;
-            let mut k = j;
-            while k < chars.len() {
-                match chars.get(k) {
-                    Some('{') => depth += 1,
-                    Some('}') => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            k += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            let body: String = chars.get(block_start..k).unwrap_or(&[]).iter().collect();
-            let end_line =
-                impl_line + header.matches('\n').count() + body.matches('\n').count();
-            if body.contains("fn put_if_absent") {
-                let from = impl_line.saturating_sub(21); // 0-based: 20 lines of leading docs
-                let to = end_line.min(raw_lines.len());
-                let documented = raw_lines
-                    .get(from..to)
-                    .unwrap_or(&[])
-                    .iter()
-                    .any(|l| l.to_ascii_lowercase().contains("atomic"));
-                if !documented {
-                    findings.push(Finding {
-                        rule: Rule::ErrorDiscipline,
-                        file: file.to_string(),
-                        line: impl_line,
-                        message: "ObjectStore impl provides put_if_absent without documenting \
-                                  its atomicity guarantee"
-                            .to_string(),
-                    });
-                }
-            }
-            line = end_line;
-            i = k;
-            continue;
-        }
-        i += 1;
+        i = end;
     }
     findings
 }
 
-pub(crate) fn matches_at(chars: &[char], i: usize, needle: &str) -> bool {
-    needle.chars().enumerate().all(|(k, nc)| chars.get(i + k) == Some(&nc))
-}
-
 /// If the signature's return type is a stringly-typed Result, name the
 /// offending error type.
-fn stringly_error(sig: &str) -> Option<&'static str> {
-    let ret = sig.split("->").nth(1)?;
-    let ret = ret.split(" where ").next().unwrap_or(ret).trim();
+fn stringly_error(sig: &[Token]) -> Option<&'static str> {
+    // The return type follows the `->` outside parameters and generics
+    // (`impl Fn() -> u8` parameters have arrows too) and ends at `where`.
+    let mut depth = 0i32;
+    let mut k = 0;
+    let ret_start = loop {
+        match sig.get(k)?.tok {
+            Tok::Punct('-') if is_punct(sig, k + 1, '>') => {
+                if depth == 0 {
+                    break k + 2;
+                }
+                k += 1;
+            }
+            Tok::Punct('(' | '<' | '[') => depth += 1,
+            Tok::Punct(')' | '>' | ']') => depth -= 1,
+            _ => {}
+        }
+        k += 1;
+    };
+    let ret = &sig[ret_start..];
+    let ret = &ret[..ret.iter().position(|t| t.tok == Tok::Ident("where")).unwrap_or(ret.len())];
     // Find `Result<…>` (std or aliased path, but NOT lake_core::Result,
     // whose error type is fixed to LakeError).
-    let idx = ret.find("Result<")?;
-    let prefix = &ret[..idx];
-    if prefix.contains("lake_core") {
+    let at = (0..ret.len()).find(|&k| {
+        matches!(ret[k].tok, Tok::Ident(s) if s.ends_with("Result")) && is_punct(ret, k + 1, '<')
+    })?;
+    if ret[..at].iter().any(|t| t.tok == Tok::Ident("lake_core")) {
         return None;
     }
-    let args = &ret[idx + "Result<".len()..];
+    let args = &ret[at + 2..];
     // Split the generic arguments at top level.
-    let mut depth = 0;
-    let mut top_commas = Vec::new();
+    let mut depth = 0i32;
+    let mut first_comma = None;
     let mut end = args.len();
-    for (bi, c) in args.char_indices() {
-        match c {
-            '<' | '(' | '[' => depth += 1,
-            '>' if depth == 0 => {
-                end = bi;
+    for (k, t) in args.iter().enumerate() {
+        match t.tok {
+            Tok::Punct('<' | '(' | '[') => depth += 1,
+            Tok::Punct('>') if depth == 0 => {
+                end = k;
                 break;
             }
-            '>' | ')' | ']' => depth -= 1,
-            ',' if depth == 0 => top_commas.push(bi),
+            Tok::Punct('>' | ')' | ']') => depth -= 1,
+            Tok::Punct(',') if depth == 0 => {
+                first_comma.get_or_insert(k);
+            }
             _ => {}
         }
     }
-    let second = top_commas.first().map(|&c| args[c + 1..end].trim())?;
-    if second == "String" {
-        return Some("String");
-    }
-    if second.starts_with("Box<dyn") && second.contains("Error") {
-        return Some("Box<dyn Error>");
-    }
-    None
-}
-
-/// Replace comments, string contents, and char literals with spaces so
-/// token matching never fires inside them (newlines are preserved for
-/// line numbers). Char literals matter twice over: `'"'` would otherwise
-/// open a phantom string that swallows real code, and `'{'` / `'}'`
-/// would corrupt the brace-depth tracking every pass builds on.
-pub(crate) fn strip_comments_and_strings(src: &str) -> String {
-    let chars: Vec<char> = src.chars().collect();
-    let mut out = String::with_capacity(src.len());
-    let mut i = 0;
-    while i < chars.len() {
-        match chars[i] {
-            // Char literal vs lifetime: a literal is `'x'` or `'\x..'`;
-            // a lifetime (`'a`) has no closing quote right after.
-            '\'' if chars.get(i + 1) == Some(&'\\')
-                || (chars.get(i + 2) == Some(&'\'') && chars.get(i + 1) != Some(&'\'')) =>
-            {
-                out.push(' ');
-                i += 1;
-                while i < chars.len() {
-                    match chars[i] {
-                        '\\' => {
-                            out.push_str("  ");
-                            i += 2;
-                        }
-                        '\'' => {
-                            out.push(' ');
-                            i += 1;
-                            break;
-                        }
-                        c => {
-                            out.push(if c == '\n' { '\n' } else { ' ' });
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    out.push(' ');
-                    i += 1;
-                }
-            }
-            '/' if chars.get(i + 1) == Some(&'*') => {
-                let mut depth = 1;
-                out.push_str("  ");
-                i += 2;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        out.push_str("  ");
-                        i += 2;
-                    } else {
-                        out.push(if chars[i] == '\n' { '\n' } else { ' ' });
-                        i += 1;
-                    }
-                }
-            }
-            '"' => {
-                out.push(' ');
-                i += 1;
-                while i < chars.len() {
-                    match chars[i] {
-                        '\\' => {
-                            out.push_str("  ");
-                            i += 2;
-                        }
-                        '"' => {
-                            out.push(' ');
-                            i += 1;
-                            break;
-                        }
-                        c => {
-                            out.push(if c == '\n' { '\n' } else { ' ' });
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            c => {
-                out.push(c);
-                i += 1;
-            }
+    let second: Vec<Tok> = args.get(first_comma? + 1..end)?.iter().map(|t| t.tok).collect();
+    match second.as_slice() {
+        [Tok::Ident("String")] => Some("String"),
+        [Tok::Ident("Box"), Tok::Punct('<'), Tok::Ident("dyn"), rest @ ..]
+            if rest.iter().any(|t| matches!(t, Tok::Ident(s) if s.contains("Error"))) =>
+        {
+            Some("Box<dyn Error>")
         }
+        _ => None,
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan(src: &str) -> Vec<Finding> {
+        scan_source(&SourceFile::new("f.rs", src))
+    }
+
+    fn atomicity(src: &str) -> Vec<Finding> {
+        scan_atomicity(&SourceFile::new("f.rs", src))
+    }
 
     #[test]
     fn flags_string_and_boxed_errors() {
@@ -345,7 +168,7 @@ mod tests {
 pub fn bad_string(x: u8) -> Result<u8, String> { Ok(x) }
 pub fn bad_boxed() -> Result<(), Box<dyn std::error::Error>> { Ok(()) }
 "#;
-        let f = scan_source("f.rs", src);
+        let f = scan(src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f[0].message.contains("String"));
         assert!(f[1].message.contains("Box<dyn Error>"));
@@ -360,15 +183,15 @@ pub fn renders() -> String { String::new() }
 pub fn tuple() -> (String, u8) { (String::new(), 0) }
 fn private_is_exempt() -> Result<(), String> { Ok(()) }
 "#;
-        assert!(scan_source("f.rs", src).is_empty(), "{:?}", scan_source("f.rs", src));
+        assert!(scan(src).is_empty(), "{:?}", scan(src));
     }
 
     #[test]
     fn nested_generics_split_correctly() {
         let src = "pub fn f() -> Result<Vec<(String, u8)>, String> { todo!() }";
-        assert_eq!(scan_source("f.rs", src).len(), 1);
+        assert_eq!(scan(src).len(), 1);
         let ok = "pub fn f() -> Result<HashMap<String, Vec<u8>>, LakeError> { todo!() }";
-        assert!(scan_source("f.rs", ok).is_empty());
+        assert!(scan(ok).is_empty());
     }
 
     #[test]
@@ -379,7 +202,7 @@ mod tests {
     pub fn helper() -> Result<(), String> { Ok(()) }
 }
 "#;
-        assert!(scan_source("f.rs", src).is_empty());
+        assert!(scan(src).is_empty());
     }
 
     #[test]
@@ -393,7 +216,7 @@ impl ObjectStore for SilentStore {
     }
 }
 "#;
-        let f = scan_atomicity("f.rs", src);
+        let f = atomicity(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, Rule::ErrorDiscipline);
         assert_eq!(f[0].line, 2);
@@ -408,7 +231,7 @@ impl ObjectStore for DocStore {
     fn put_if_absent(&self, key: &str, data: &[u8]) -> Result<()> { todo!() }
 }
 "#;
-        assert!(scan_atomicity("f.rs", leading).is_empty());
+        assert!(atomicity(leading).is_empty());
         let inline = r#"
 impl ObjectStore for DocStore {
     fn put_if_absent(&self, key: &str, data: &[u8]) -> Result<()> {
@@ -417,7 +240,7 @@ impl ObjectStore for DocStore {
     }
 }
 "#;
-        assert!(scan_atomicity("f.rs", inline).is_empty());
+        assert!(atomicity(inline).is_empty());
     }
 
     #[test]
@@ -427,7 +250,7 @@ impl ObjectStore for ReadOnlyStore {
     fn get(&self, key: &str) -> Result<Vec<u8>> { todo!() }
 }
 "#;
-        assert!(scan_atomicity("f.rs", no_conditional_put).is_empty());
+        assert!(atomicity(no_conditional_put).is_empty());
         let in_tests = r#"
 #[cfg(test)]
 mod tests {
@@ -436,7 +259,7 @@ mod tests {
     }
 }
 "#;
-        assert!(scan_atomicity("f.rs", in_tests).is_empty());
+        assert!(atomicity(in_tests).is_empty());
     }
 
     #[test]
@@ -450,7 +273,7 @@ impl<S: ObjectStore> ObjectStore for Wrapper<S> {
     }
 }
 "#;
-        assert_eq!(scan_atomicity("f.rs", src).len(), 1);
+        assert_eq!(atomicity(src).len(), 1);
     }
 
     #[test]
@@ -459,6 +282,6 @@ impl<S: ObjectStore> ObjectStore for Wrapper<S> {
 // pub fn commented() -> Result<u8, String> {}
 fn f() { let s = "pub fn fake() -> Result<u8, String>"; }
 "#;
-        assert!(scan_source("f.rs", src).is_empty());
+        assert!(scan(src).is_empty());
     }
 }

@@ -15,120 +15,30 @@
 //! `#[cfg(test)]` regions are exempt like every other source lint, and
 //! tests/benches/bins/examples are exempt via the shared directory walk.
 
-use crate::errors::{matches_at, strip_comments_and_strings};
+use crate::lex::SourceFile;
 use crate::{Finding, Rule};
 
 /// Scan one library source file for `partial_cmp` chains that discard
 /// the `Option` through the unwrap/expect family.
-pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
-    let stripped = strip_comments_and_strings(src);
-    let chars: Vec<char> = stripped.chars().collect();
+pub fn scan_source(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut brace_depth = 0usize;
-    let mut cfg_test_depth: Option<usize> = None;
-    while i < chars.len() {
-        match chars[i] {
-            '\n' => {
-                line += 1;
-                i += 1;
-                continue;
-            }
-            '{' => {
-                brace_depth += 1;
-                i += 1;
-                continue;
-            }
-            '}' => {
-                brace_depth = brace_depth.saturating_sub(1);
-                if cfg_test_depth.is_some_and(|d| brace_depth < d) {
-                    cfg_test_depth = None;
-                }
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if matches_at(&chars, i, "#[cfg(test)") {
-            cfg_test_depth = Some(brace_depth);
-            i += 1;
+    for (i, t) in file.toks.iter().enumerate() {
+        // A bare `partial_cmp` (e.g. a trait-method definition) is not a call.
+        if t.test || file.ident(i) != Some("partial_cmp") || !file.punct(i + 1, '(') {
             continue;
         }
-        let at_call = cfg_test_depth.is_none()
-            && matches_at(&chars, i, "partial_cmp")
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
-            && chars
-                .get(i + "partial_cmp".len())
-                .is_some_and(|c| !c.is_alphanumeric() && *c != '_');
-        if !at_call {
-            i += 1;
-            continue;
+        let after = file.group_end(i + 1, '(', ')');
+        let Some(m) = file.ident(after + 1).filter(|_| file.punct(after, '.')) else { continue };
+        if m.starts_with("unwrap") || m.starts_with("expect") {
+            findings.push(file.finding(
+                Rule::FloatOrdering,
+                t.line,
+                format!(
+                    "partial_cmp(..).{m} orders floats partially and dies (or \
+                     lies) on NaN; sort with f64::total_cmp instead"
+                ),
+            ));
         }
-        let call_line = line;
-        let mut j = i + "partial_cmp".len();
-        // Find the argument list, tolerating whitespace before `(`; a bare
-        // `partial_cmp` token (e.g. a trait-method definition) is not a call.
-        while j < chars.len() && chars[j].is_whitespace() {
-            if chars[j] == '\n' {
-                line += 1;
-            }
-            j += 1;
-        }
-        if chars.get(j) != Some(&'(') {
-            i = j;
-            continue;
-        }
-        // Balance the argument parentheses.
-        let mut depth = 0usize;
-        while j < chars.len() {
-            match chars[j] {
-                '\n' => line += 1,
-                '(' => depth += 1,
-                ')' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        // The chained method, if any, may sit after whitespace/newlines.
-        while j < chars.len() && chars[j].is_whitespace() {
-            if chars[j] == '\n' {
-                line += 1;
-            }
-            j += 1;
-        }
-        if chars.get(j) == Some(&'.') {
-            j += 1;
-            while j < chars.len() && chars[j].is_whitespace() {
-                if chars[j] == '\n' {
-                    line += 1;
-                }
-                j += 1;
-            }
-            let mut method = String::new();
-            while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
-                method.push(chars[j]);
-                j += 1;
-            }
-            if method.starts_with("unwrap") || method.starts_with("expect") {
-                findings.push(Finding {
-                    rule: Rule::FloatOrdering,
-                    file: file.to_string(),
-                    line: call_line,
-                    message: format!(
-                        "partial_cmp(..).{method} orders floats partially and dies (or \
-                         lies) on NaN; sort with f64::total_cmp instead"
-                    ),
-                });
-            }
-        }
-        i = j;
     }
     findings
 }
@@ -136,6 +46,10 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn scan(src: &str) -> Vec<Finding> {
+        scan_source(&SourceFile::new("f.rs", src))
+    }
 
     // The embedded sources below always break the chain across lines:
     // this crate's own acceptance gate greps for `partial_cmp` and the
@@ -151,7 +65,7 @@ pub fn rank(mut v: Vec<(usize, f64)>) {
         .expect("comparable"));
 }
 "#;
-        let f = scan_source("f.rs", src);
+        let f = scan(src);
         assert_eq!(f.len(), 2, "{f:#?}");
         assert!(f.iter().all(|x| x.rule == Rule::FloatOrdering));
         // Findings anchor to the comparison line, not the chained line.
@@ -171,7 +85,7 @@ pub fn s(mut v: Vec<f64>) {
     });
 }
 ";
-        let f = scan_source("f.rs", src);
+        let f = scan(src);
         assert_eq!(f.len(), 2, "{f:#?}");
         assert_eq!((f[0].line, f[1].line), (3, 6));
     }
@@ -198,6 +112,6 @@ mod tests {
     }
 }
 "#;
-        assert!(scan_source("f.rs", src).is_empty(), "{:#?}", scan_source("f.rs", src));
+        assert!(scan(src).is_empty(), "{:#?}", scan(src));
     }
 }

@@ -43,6 +43,9 @@
 //!    and only a power cut ever exposes the difference. Deliberately
 //!    volatile writes justify with `// lint: durability <why>`.
 //!
+//! Every source rule reads the same token stream: [`scan_workspace`] reads
+//! and lexes each file once ([`lex`]) and hands it to [`scan_file`].
+//!
 //! Existing violations are grandfathered in `lake-lint.baseline.toml`
 //! ([`baseline`]); the baseline can only shrink. Run as:
 //!
@@ -59,6 +62,7 @@ pub mod durability;
 pub mod errors;
 pub mod float;
 pub mod layering;
+pub mod lex;
 pub mod scanner;
 
 use std::fmt;
@@ -220,17 +224,25 @@ fn walk_sources(
         } else if name.ends_with(".rs") {
             let rel = relative_to(&path, root);
             let src = std::fs::read_to_string(&path)?;
-            let hot = HOT_PATHS.iter().any(|h| rel.starts_with(h));
-            findings.extend(scanner::scan_source(&rel, &src, hot));
-            findings.extend(errors::scan_source(&rel, &src));
-            findings.extend(errors::scan_atomicity(&rel, &src));
-            findings.extend(clock::scan_source(&rel, &src));
-            findings.extend(float::scan_source(&rel, &src));
-            findings.extend(durability::scan_source(&rel, &src));
-            conc.add_source(&rel, &src);
+            findings.extend(scan_file(&lex::SourceFile::new(&rel, &src), conc));
         }
     }
     Ok(())
+}
+
+/// Run every source rule over one lexed library file. Per-file findings
+/// are returned; lock facts accumulate in `conc` until
+/// [`concurrency::Analysis::finish`] judges them workspace-wide.
+pub fn scan_file(file: &lex::SourceFile, conc: &mut concurrency::Analysis) -> Vec<Finding> {
+    let hot = HOT_PATHS.iter().any(|h| file.path.starts_with(h));
+    let mut findings = scanner::scan_source(file, hot);
+    findings.extend(errors::scan_source(file));
+    findings.extend(errors::scan_atomicity(file));
+    findings.extend(clock::scan_source(file));
+    findings.extend(float::scan_source(file));
+    findings.extend(durability::scan_source(file));
+    conc.add_source(file);
+    findings
 }
 
 /// Render `path` relative to `root` with forward slashes (stable across

@@ -1,11 +1,6 @@
-//! Hand-rolled Rust token scanner for the panic-freedom lint.
+//! Panic-freedom lint over the shared token stream ([`crate::lex`]).
 //!
-//! No `syn` (the build environment has no crates.io access), so this is a
-//! character-level scanner that understands just enough Rust lexing to be
-//! trustworthy: line and (nested) block comments, string literals with
-//! escapes, raw strings (`r"…"`, `r#"…"#`, any hash depth), byte and char
-//! literals, and lifetimes (so `'a` is not mistaken for an unterminated
-//! char). On top of the token stream it finds panic-prone constructs:
+//! Finds panic-prone constructs in library code:
 //!
 //! - `.unwrap()` / `.expect(…)` method calls
 //! - `panic!`, `todo!`, `unimplemented!`, `unreachable!` macro invocations
@@ -13,366 +8,73 @@
 //!   marks as hot paths, where an out-of-bounds abort would break an ACID
 //!   guarantee rather than a test
 //!
-//! Code under `#[cfg(test)]` is exempt: the attribute's following item
-//! (block-delimited or `;`-terminated) is skipped entirely.
+//! Literals and comments never match: the lexer drops them. Code in a
+//! `#[cfg(test)]` item is exempt.
 
+use crate::lex::{SourceFile, Tok, Token};
 use crate::{Finding, Rule};
-
-/// One lexed token the lint logic cares about.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    /// Identifier or keyword, with its 1-based line.
-    Ident(String, usize),
-    /// Any single punctuation character, with its 1-based line.
-    Punct(char, usize),
-}
-
-/// Lex `src` into idents and punctuation, dropping comments, strings,
-/// char literals, lifetimes, and numeric literals.
-fn lex(src: &str) -> Vec<Tok> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut toks = Vec::new();
-    let mut i = 0;
-    let mut line = 1;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
-                line += 1;
-                i += 1;
-            }
-            '/' if chars.get(i + 1) == Some(&'/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '/' if chars.get(i + 1) == Some(&'*') => {
-                let mut depth = 1;
-                i += 2;
-                while i < chars.len() && depth > 0 {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        i += 2;
-                    } else {
-                        if chars[i] == '\n' {
-                            line += 1;
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            '"' => {
-                i = skip_string(&chars, i, &mut line);
-            }
-            'r' | 'b' if is_raw_or_byte_string(&chars, i) => {
-                i = skip_raw_or_byte(&chars, i, &mut line);
-            }
-            '\'' => {
-                i = skip_char_or_lifetime(&chars, i, &mut line);
-            }
-            _ if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                toks.push(Tok::Ident(chars[start..i].iter().collect(), line));
-            }
-            _ if c.is_ascii_digit() => {
-                // Numeric literal (incl. suffixes and underscores); skip so
-                // `0..2usize` never yields an `usize` ident token.
-                while i < chars.len()
-                    && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
-                {
-                    // `0..n`: the range dots belong to punctuation, not the number.
-                    if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
-                        break;
-                    }
-                    i += 1;
-                }
-            }
-            _ if c.is_whitespace() => {
-                i += 1;
-            }
-            _ => {
-                toks.push(Tok::Punct(c, line));
-                i += 1;
-            }
-        }
-    }
-    toks
-}
-
-/// Skip a `"…"` literal starting at `i`; returns the index past the close.
-fn skip_string(chars: &[char], mut i: usize, line: &mut usize) -> usize {
-    i += 1; // opening quote
-    while i < chars.len() {
-        match chars[i] {
-            '\\' => i += 2,
-            '"' => return i + 1,
-            '\n' => {
-                *line += 1;
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    i
-}
-
-/// Does `r…`/`b…` at `i` begin a raw string, byte string, or byte char?
-fn is_raw_or_byte_string(chars: &[char], i: usize) -> bool {
-    // Reject when part of a longer identifier (e.g. `for r in xs`).
-    if i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_') {
-        return false;
-    }
-    let mut j = i;
-    if chars[j] == 'b' {
-        j += 1;
-        if chars.get(j) == Some(&'\'') {
-            return true; // byte char b'x'
-        }
-    }
-    if chars.get(j) == Some(&'r') {
-        j += 1;
-        while chars.get(j) == Some(&'#') {
-            j += 1;
-        }
-    }
-    chars.get(j) == Some(&'"')
-}
-
-/// Skip `r"…"`, `r#"…"#`, `b"…"`, `br##"…"##`, or `b'…'` starting at `i`.
-fn skip_raw_or_byte(chars: &[char], mut i: usize, line: &mut usize) -> usize {
-    if chars[i] == 'b' {
-        i += 1;
-        if chars.get(i) == Some(&'\'') {
-            // Byte char literal: b'x' or b'\n'.
-            i += 1;
-            if chars.get(i) == Some(&'\\') {
-                i += 1;
-            }
-            i += 1;
-            if chars.get(i) == Some(&'\'') {
-                i += 1;
-            }
-            return i;
-        }
-    }
-    let mut hashes = 0;
-    if chars.get(i) == Some(&'r') {
-        i += 1;
-        while chars.get(i) == Some(&'#') {
-            hashes += 1;
-            i += 1;
-        }
-        if chars.get(i) == Some(&'"') {
-            i += 1;
-            // Scan for `"` followed by `hashes` hashes.
-            while i < chars.len() {
-                if chars[i] == '\n' {
-                    *line += 1;
-                }
-                if chars[i] == '"' && chars[i + 1..].iter().take(hashes).filter(|&&h| h == '#').count() == hashes {
-                    return i + 1 + hashes;
-                }
-                i += 1;
-            }
-            return i;
-        }
-        return i;
-    }
-    // Plain byte string b"…": same rules as a normal string.
-    if chars.get(i) == Some(&'"') {
-        return skip_string(chars, i, line);
-    }
-    i
-}
-
-/// Skip a char literal `'x'`/`'\n'`, or recognize a lifetime `'a` and
-/// consume just the tick + identifier.
-fn skip_char_or_lifetime(chars: &[char], i: usize, line: &mut usize) -> usize {
-    // Lifetime: 'ident not closed by a quote ('a, 'static, '_).
-    let mut j = i + 1;
-    if j < chars.len() && (chars[j].is_alphabetic() || chars[j] == '_') {
-        while j < chars.len() && (chars[j].is_alphanumeric() || chars[j] == '_') {
-            j += 1;
-        }
-        if chars.get(j) != Some(&'\'') {
-            return j; // lifetime, no closing tick
-        }
-        return j + 1; // char literal like 'a'
-    }
-    // Escaped or punctuation char literal.
-    if chars.get(j) == Some(&'\\') {
-        j += 2;
-        // Unicode escapes: '\u{1F600}'.
-        if chars.get(j - 1) == Some(&'u') && chars.get(j) == Some(&'{') {
-            while j < chars.len() && chars[j] != '}' {
-                j += 1;
-            }
-            j += 1;
-        }
-    } else {
-        if chars.get(j) == Some(&'\n') {
-            *line += 1;
-        }
-        j += 1;
-    }
-    if chars.get(j) == Some(&'\'') {
-        j += 1;
-    }
-    j
-}
 
 /// Macro names whose invocation aborts the process.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"];
 
 /// Scan one library source file; `hot_path` additionally enables the
-/// slice-indexing rule. `file` is the repo-relative path used in findings.
-pub fn scan_source(file: &str, src: &str, hot_path: bool) -> Vec<Finding> {
-    let toks = lex(src);
+/// slice-indexing rule.
+pub fn scan_source(file: &SourceFile, hot_path: bool) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        // `#[cfg(test)]` — skip the attribute and the item that follows.
-        if is_cfg_test_at(&toks, i) {
-            i = skip_attr_and_item(&toks, i);
+    for (i, t) in file.toks.iter().enumerate() {
+        if t.test {
             continue;
         }
-        match &toks[i] {
-            Tok::Ident(name, line) => {
-                let prev_dot =
-                    i > 0 && matches!(&toks[i - 1], Tok::Punct('.', _));
-                let next_bang =
-                    matches!(toks.get(i + 1), Some(Tok::Punct('!', _)));
-                let next_paren = matches!(toks.get(i + 1), Some(Tok::Punct('(', _)));
-                if prev_dot && next_paren && (name == "unwrap" || name == "expect") {
-                    findings.push(Finding {
-                        rule: Rule::Panic,
-                        file: file.to_string(),
-                        line: *line,
-                        message: format!(".{name}() can abort; return a LakeError instead"),
-                    });
-                } else if next_bang && PANIC_MACROS.contains(&name.as_str()) {
-                    findings.push(Finding {
-                        rule: Rule::Panic,
-                        file: file.to_string(),
-                        line: *line,
-                        message: format!("{name}! aborts the process in library code"),
-                    });
-                }
-                i += 1;
+        match t.tok {
+            Tok::Ident(name @ ("unwrap" | "expect"))
+                if i > 0 && file.punct(i - 1, '.') && file.punct(i + 1, '(') =>
+            {
+                findings.push(file.finding(
+                    Rule::Panic,
+                    t.line,
+                    format!(".{name}() can abort; return a LakeError instead"),
+                ));
             }
-            Tok::Punct('[', line) => {
-                if hot_path && is_index_expression(&toks, i) {
-                    findings.push(Finding {
-                        rule: Rule::Indexing,
-                        file: file.to_string(),
-                        line: *line,
-                        message: "slice indexing on a hot path can abort; use .get()".to_string(),
-                    });
-                }
-                i += 1;
+            Tok::Ident(name) if file.punct(i + 1, '!') && PANIC_MACROS.contains(&name) => {
+                findings.push(file.finding(
+                    Rule::Panic,
+                    t.line,
+                    format!("{name}! aborts the process in library code"),
+                ));
             }
-            _ => i += 1,
+            Tok::Punct('[') if hot_path && is_index_expression(&file.toks, i) => {
+                findings.push(file.finding(
+                    Rule::Indexing,
+                    t.line,
+                    "slice indexing on a hot path can abort; use .get()",
+                ));
+            }
+            _ => {}
         }
     }
     findings
-}
-
-/// Is `toks[i..]` exactly `# [ cfg ( test ) ]` (also matching
-/// `cfg(any(test, …))` conservatively when `test` is the first argument)?
-fn is_cfg_test_at(toks: &[Tok], i: usize) -> bool {
-    let pat = |k: usize| toks.get(i + k);
-    matches!(pat(0), Some(Tok::Punct('#', _)))
-        && matches!(pat(1), Some(Tok::Punct('[', _)))
-        && matches!(pat(2), Some(Tok::Ident(s, _)) if s == "cfg")
-        && matches!(pat(3), Some(Tok::Punct('(', _)))
-        && matches!(pat(4), Some(Tok::Ident(s, _)) if s == "test")
-}
-
-/// Skip an attribute starting at `#` and the single item that follows it
-/// (through its matching `{…}` block or terminating `;`).
-fn skip_attr_and_item(toks: &[Tok], mut i: usize) -> usize {
-    // Consume the attribute's [...] itself.
-    let mut depth = 0;
-    while i < toks.len() {
-        match &toks[i] {
-            Tok::Punct('[', _) => depth += 1,
-            Tok::Punct(']', _) => {
-                depth -= 1;
-                if depth == 0 {
-                    i += 1;
-                    break;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    // Any further attributes on the same item.
-    while matches!(toks.get(i), Some(Tok::Punct('#', _))) {
-        let mut d = 0;
-        while i < toks.len() {
-            match &toks[i] {
-                Tok::Punct('[', _) => d += 1,
-                Tok::Punct(']', _) => {
-                    d -= 1;
-                    if d == 0 {
-                        i += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    // Consume the item: to the first `{` then its matching `}`, or a `;`
-    // that appears before any block (e.g. `#[cfg(test)] use foo;`).
-    let mut brace = 0;
-    while i < toks.len() {
-        match &toks[i] {
-            Tok::Punct('{', _) => brace += 1,
-            Tok::Punct('}', _) => {
-                brace -= 1;
-                if brace == 0 {
-                    return i + 1;
-                }
-            }
-            Tok::Punct(';', _) if brace == 0 => return i + 1,
-            _ => {}
-        }
-        i += 1;
-    }
-    i
 }
 
 /// Heuristic: a `[` opens an *index expression* when the preceding token
 /// could end an expression (identifier, `)`, or `]`) and is not a macro
 /// bang or attribute hash. Type positions (`&[u8]`, `[T; 4]`) follow
 /// punctuation and are excluded.
-fn is_index_expression(toks: &[Tok], i: usize) -> bool {
-    if i == 0 {
-        return false;
-    }
-    match &toks[i - 1] {
-        Tok::Ident(name, _) => {
+fn is_index_expression(toks: &[Token], i: usize) -> bool {
+    let Some(prev) = i.checked_sub(1).and_then(|p| toks.get(p)) else { return false };
+    match prev.tok {
+        Tok::Ident(name) => {
             // `vec![…]`-style macro brackets arrive as ident + `!` + `[`,
             // so the direct predecessor here is an ident only for real
             // postfix indexing — except type paths like `Vec<[u8; 4]>`
             // never place an ident directly before `[`.
             !matches!(
-                name.as_str(),
+                name,
                 "mut" | "dyn" | "impl" | "ref" | "return" | "in" | "as" | "let" | "for" | "if"
                     | "else" | "match" | "while" | "loop" | "move" | "where" | "unsafe" | "const"
                     | "static" | "break" | "continue" | "box"
             )
         }
-        Tok::Punct(')', _) | Tok::Punct(']', _) => true,
+        Tok::Punct(')' | ']') => true,
         _ => false,
     }
 }
@@ -381,14 +83,18 @@ fn is_index_expression(toks: &[Tok], i: usize) -> bool {
 mod tests {
     use super::*;
 
+    fn scan(src: &str, hot: bool) -> Vec<Finding> {
+        scan_source(&SourceFile::new("f.rs", src), hot)
+    }
+
     fn count(src: &str, hot: bool) -> usize {
-        scan_source("f.rs", src, hot).len()
+        scan(src, hot).len()
     }
 
     #[test]
     fn finds_unwrap_and_expect_calls() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\nfn g(x: Option<u8>) -> u8 { x.expect(\"boom\") }\n";
-        let f = scan_source("f.rs", src, false);
+        let f = scan(src, false);
         assert_eq!(f.len(), 2);
         assert_eq!(f[0].line, 1);
         assert_eq!(f[1].line, 2);
@@ -416,7 +122,7 @@ fn f() {
     let ok3 = expectations(5);
 }
 "##;
-        assert_eq!(count(src, false), 0, "{:?}", scan_source("f.rs", src, false));
+        assert_eq!(count(src, false), 0, "{:?}", scan(src, false));
     }
 
     #[test]
@@ -442,7 +148,7 @@ fn lib() { Some(1).unwrap(); }
     fn indexing_only_flagged_on_hot_paths() {
         let src = "fn f(v: &[u8], i: usize) -> u8 { v[i] }\n";
         assert_eq!(count(src, false), 0);
-        let f = scan_source("f.rs", src, true);
+        let f = scan(src, true);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::Indexing);
     }
@@ -455,7 +161,7 @@ struct S { a: [u8; 4] }
 fn f(x: &[u8]) -> Vec<u8> { vec![1, 2] }
 fn g() -> [u8; 2] { [0, 1] }
 "#;
-        assert_eq!(count(src, true), 0, "{:?}", scan_source("f.rs", src, true));
+        assert_eq!(count(src, true), 0, "{:?}", scan(src, true));
         // …but chained and call-result indexing is caught.
         assert_eq!(count("fn f() { g()[0]; }", true), 1);
         assert_eq!(count("fn f() { a[0][1]; }", true), 2);

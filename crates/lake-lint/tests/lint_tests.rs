@@ -2,7 +2,7 @@
 //! workspace-honesty test asserting the checked-in baseline matches what a
 //! fresh scan of this repository produces.
 
-use lake_lint::{baseline::Baseline, layering, scanner, Rule};
+use lake_lint::{baseline::Baseline, layering, lex::SourceFile, scanner, Rule};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -15,7 +15,7 @@ fn panic_fixture_has_expected_findings() {
     let src = fixture("panic_lib.rs");
 
     // Cold path: panic-family findings only, no indexing.
-    let cold = scanner::scan_source("fixtures/panic_lib.rs", &src, false);
+    let cold = scanner::scan_source(&SourceFile::new("fixtures/panic_lib.rs", &src), false);
     assert_eq!(cold.len(), 5, "{cold:#?}");
     assert!(cold.iter().all(|f| f.rule == Rule::Panic), "{cold:#?}");
     let unwraps = cold.iter().filter(|f| f.message.contains(".unwrap()")).count();
@@ -23,7 +23,7 @@ fn panic_fixture_has_expected_findings() {
     assert_eq!((unwraps, expects), (2, 1), "{cold:#?}");
 
     // Hot path: the same five plus two slice-indexing findings.
-    let hot = scanner::scan_source("fixtures/panic_lib.rs", &src, true);
+    let hot = scanner::scan_source(&SourceFile::new("fixtures/panic_lib.rs", &src), true);
     assert_eq!(hot.len(), 7, "{hot:#?}");
     assert_eq!(hot.iter().filter(|f| f.rule == Rule::Indexing).count(), 2, "{hot:#?}");
 }
@@ -50,7 +50,7 @@ fn tier_inversion_fixture_fails_layering() {
 #[test]
 fn string_error_fixture_has_expected_findings() {
     let src = fixture("string_error.rs");
-    let findings = lake_lint::errors::scan_source("fixtures/string_error.rs", &src);
+    let findings = lake_lint::errors::scan_source(&SourceFile::new("fixtures/string_error.rs", &src));
     assert_eq!(findings.len(), 2, "{findings:#?}");
     assert!(findings.iter().all(|f| f.rule == Rule::ErrorDiscipline));
     assert!(findings[0].message.contains("String"), "{}", findings[0].message);
@@ -60,7 +60,7 @@ fn string_error_fixture_has_expected_findings() {
 #[test]
 fn clock_misuse_fixture_has_expected_findings() {
     let src = fixture("clock_misuse.rs");
-    let findings = lake_lint::clock::scan_source("fixtures/clock_misuse.rs", &src);
+    let findings = lake_lint::clock::scan_source(&SourceFile::new("fixtures/clock_misuse.rs", &src));
     assert_eq!(findings.len(), 3, "{findings:#?}");
     assert!(findings.iter().all(|f| f.rule == Rule::ClockDiscipline));
     let instants =
@@ -73,7 +73,7 @@ fn clock_misuse_fixture_has_expected_findings() {
 #[test]
 fn float_ordering_fixture_has_expected_findings() {
     let src = fixture("float_ordering.rs");
-    let findings = lake_lint::float::scan_source("fixtures/float_ordering.rs", &src);
+    let findings = lake_lint::float::scan_source(&SourceFile::new("fixtures/float_ordering.rs", &src));
     assert_eq!(findings.len(), 2, "{findings:#?}");
     assert!(findings.iter().all(|f| f.rule == Rule::FloatOrdering));
     assert!(findings[0].message.contains("unwrap"), "{}", findings[0].message);
@@ -84,19 +84,19 @@ fn float_ordering_fixture_has_expected_findings() {
 fn wal_no_sync_fixture_has_expected_findings() {
     let src = fixture("wal_no_sync.rs");
     // The fixture name contains `wal`, so it is in scope…
-    let findings = lake_lint::durability::scan_source("fixtures/wal_no_sync.rs", &src);
+    let findings = lake_lint::durability::scan_source(&SourceFile::new("fixtures/wal_no_sync.rs", &src));
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert_eq!(findings[0].rule, Rule::Durability);
     assert!(findings[0].message.contains("sync_all"), "{}", findings[0].message);
     // …while the same source under a non-journal path is not.
-    assert!(lake_lint::durability::scan_source("fixtures/other.rs", &src).is_empty());
+    assert!(lake_lint::durability::scan_source(&SourceFile::new("fixtures/other.rs", &src)).is_empty());
 }
 
 /// Run the workspace-wide concurrency analysis over a single fixture.
 fn analyze_fixture(name: &str) -> Vec<lake_lint::Finding> {
     let src = fixture(name);
     let mut conc = lake_lint::concurrency::Analysis::default();
-    conc.add_source(&format!("fixtures/{name}"), &src);
+    conc.add_source(&SourceFile::new(&format!("fixtures/{name}"), &src));
     conc.finish()
 }
 
@@ -149,11 +149,11 @@ fn stray_relaxed_fixture_flags_only_unjustified_site() {
 fn quoted_triggers_never_fire() {
     let src = fixture("strings_and_comments.rs");
     let file = "fixtures/strings_and_comments.rs";
-    let mut findings = scanner::scan_source(file, &src, true);
-    findings.extend(lake_lint::errors::scan_source(file, &src));
-    findings.extend(lake_lint::errors::scan_atomicity(file, &src));
-    findings.extend(lake_lint::clock::scan_source(file, &src));
-    findings.extend(lake_lint::float::scan_source(file, &src));
+    let mut findings = scanner::scan_source(&SourceFile::new(file, &src), true);
+    findings.extend(lake_lint::errors::scan_source(&SourceFile::new(file, &src)));
+    findings.extend(lake_lint::errors::scan_atomicity(&SourceFile::new(file, &src)));
+    findings.extend(lake_lint::clock::scan_source(&SourceFile::new(file, &src)));
+    findings.extend(lake_lint::float::scan_source(&SourceFile::new(file, &src)));
     findings.extend(analyze_fixture("strings_and_comments.rs"));
     assert!(findings.is_empty(), "{findings:#?}");
 }
@@ -164,11 +164,54 @@ fn quoted_triggers_never_fire() {
 #[test]
 fn char_literals_do_not_derail_the_scan() {
     let src = fixture("char_literals.rs");
-    let findings = scanner::scan_source("fixtures/char_literals.rs", &src, false);
+    let findings = scanner::scan_source(&SourceFile::new("fixtures/char_literals.rs", &src), false);
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert_eq!(findings[0].rule, Rule::Panic);
     assert!(findings[0].message.contains(".unwrap()"), "{}", findings[0].message);
     assert!(analyze_fixture("char_literals.rs").is_empty());
+}
+
+/// Every rule's findings on one fixture, scanned under a journal path so
+/// the durability rule is in scope, as `(line, rule)` in line order.
+fn all_rules(name: &str) -> Vec<(usize, Rule)> {
+    let src = fixture(name);
+    let path = format!("fixtures/wal/{name}");
+    let mut conc = lake_lint::concurrency::Analysis::default();
+    let mut findings = lake_lint::scan_file(&SourceFile::new(&path, &src), &mut conc);
+    findings.extend(conc.finish());
+    let mut got: Vec<(usize, Rule)> = findings.iter().map(|f| (f.line, f.rule)).collect();
+    got.sort();
+    got
+}
+
+/// One violation of each source rule, in the order the fixtures write
+/// them, starting at the `pub fn` on `fn_line`.
+fn one_of_each(fn_line: usize) -> Vec<(usize, Rule)> {
+    vec![
+        (fn_line, Rule::ErrorDiscipline),
+        (fn_line + 1, Rule::ClockDiscipline),
+        (fn_line + 2, Rule::FloatOrdering),
+        (fn_line + 3, Rule::Panic),
+        (fn_line + 4, Rule::AtomicOrdering),
+        (fn_line + 5, Rule::Durability),
+    ]
+}
+
+/// A top-level `#[cfg(test)] mod oracle;` exempts that declaration only:
+/// the code after it is library code for every rule, not just the panic
+/// scanner.
+#[test]
+fn cfg_test_item_exempts_only_that_item() {
+    assert_eq!(all_rules("cfg_test_item.rs"), one_of_each(14));
+}
+
+/// `r"C:\"` and `r#"a"b"#` end where Rust says they end, so the code
+/// after each literal stays visible to every rule.
+#[test]
+fn raw_strings_do_not_swallow_code() {
+    let mut expected = one_of_each(12);
+    expected.extend(one_of_each(23));
+    assert_eq!(all_rules("raw_strings.rs"), expected);
 }
 
 fn workspace_root() -> PathBuf {

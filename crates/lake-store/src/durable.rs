@@ -22,26 +22,16 @@
 //!   fsyncs the directory, so snapshots are always either the old or the
 //!   new bytes, never a prefix.
 
+use lake_core::value::fnv1a;
 use lake_core::{LakeError, Result};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-/// FNV-1a 64-bit — the workspace's standard content checksum (identical
-/// constants to the lakehouse transaction log's entry crc).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The checksum rendered the way the lakehouse log stores it: 16 lowercase
 /// hex digits.
 pub fn checksum_hex(bytes: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(bytes))
+    format!("{:016x}", fnv1a(bytes))
 }
 
 /// Per-frame overhead: 4-byte length prefix + 8-byte checksum suffix.
@@ -54,7 +44,7 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_be_bytes());
+    out.extend_from_slice(&fnv1a(payload).to_be_bytes());
     Ok(out)
 }
 
@@ -87,7 +77,7 @@ pub fn scan_frames(bytes: &[u8]) -> FrameScan {
         let Some(crc_bytes) = bytes.get(payload_end..frame_end) else { break };
         let mut crc_buf = [0u8; 8];
         crc_buf.copy_from_slice(crc_bytes);
-        if u64::from_be_bytes(crc_buf) != fnv1a64(payload) {
+        if u64::from_be_bytes(crc_buf) != fnv1a(payload) {
             break;
         }
         frames.push(payload.to_vec());
@@ -139,9 +129,9 @@ mod tests {
     fn checksum_matches_the_lakehouse_constants() {
         // Spot values pinned so the discipline stays byte-compatible with
         // the TxnLog entries' crc field.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(checksum_hex(b"").len(), 16);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 
     #[test]

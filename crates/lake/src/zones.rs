@@ -28,7 +28,7 @@ impl Zone {
 
     /// The next zone in the lifecycle, if any.
     pub fn next(self) -> Option<Zone> {
-        let i = Zone::ALL.iter().position(|z| *z == self).expect("member");
+        let i = Zone::ALL.iter().position(|z| *z == self)?;
         Zone::ALL.get(i + 1).copied()
     }
 

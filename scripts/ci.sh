@@ -28,11 +28,15 @@ cargo test -q
 # above does not reach its unit tests (percentile rule, windowing, self
 # time).
 cargo test -q --manifest-path perfbench/Cargo.toml
-cargo run -p lake-lint -- check
-# Machine-readable lint report for downstream tooling (deterministic
-# ordering; the exit code above already gates the build).
+# One workspace lint run: the machine-readable report (deterministic
+# ordering) goes to target/ for downstream tooling, the exit code gates
+# the build, and a failing report is printed so new violations show in
+# the log.
 mkdir -p target
-cargo run -q -p lake-lint -- check --json > target/lake-lint-report.json
+if ! cargo run -q -p lake-lint -- check --json > target/lake-lint-report.json; then
+  cat target/lake-lint-report.json
+  exit 1
+fi
 ./scripts/chaos.sh
 ./scripts/obs.sh
 ./scripts/server.sh
